@@ -15,6 +15,7 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    package_data={"repro.core.native": ["*.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
     entry_points={"console_scripts": ["pfpl = repro.cli:main"]},

@@ -48,6 +48,7 @@ class DeterminismRule(Rule):
         "core/kernel.py",
         "core/chunking.py",
         "core/lossless/**",
+        "core/native/**",
         "core/quantizers/**",
     )
 

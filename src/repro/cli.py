@@ -187,6 +187,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         outliers = tel.counter("outlier_values_total")
         print(f"{args.input}: {data.nbytes} -> {len(result.data)} bytes "
               f"(ratio {result.ratio:.2f})")
+        print(_kernels_line())
         print(f"  chunks      : {n_chunks} "
               f"({int(raw)} raw fallback, "
               f"{raw / max(1, n_chunks) * 100:.2f}%)")
@@ -226,6 +227,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _kernels_line() -> str:
+    """Which lossless kernel path this process runs, and why."""
+    from .core.native import status
+
+    st = status()
+    if st["active"]:
+        return f"  kernels     : native ({st['path']}; {st['reason']})"
+    return f"  kernels     : numpy ({st['reason']})"
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         head = fh.read(64)
@@ -240,6 +251,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"  values      : {header.count}")
     print(f"  chunks      : {header.n_chunks} x {header.words_per_chunk} words")
     print(f"  checksums   : {'crc32 footer' if header.checksum else 'none'}")
+    print(_kernels_line())
     if header.pipeline_select:
         from .core.lossless.pipeline import PIPELINE_VARIANTS
 
@@ -411,15 +423,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _run() -> int:
-        service = PFPLService(config)
-        host, port = await service.start()
-        print(f"pfpl serve listening on {host}:{port}", flush=True)
-        log.info("serving backend=%s queue_depth=%d", config.backend,
-                 config.queue_depth)
+        # Handlers go in before start(): start() forks the pool workers,
+        # and a signal that found the default handler after that would
+        # kill the server and orphan them.  A stop that arrives during
+        # start-up is honoured as soon as start() returns.
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(sig, stop.set)
+        service = PFPLService(config)
+        try:
+            host, port = await service.start()
+        except BaseException:
+            await service.shutdown()
+            raise
+        print(f"pfpl serve listening on {host}:{port}", flush=True)
+        log.info("serving backend=%s queue_depth=%d", config.backend,
+                 config.queue_depth)
         await stop.wait()
         print("pfpl serve draining", flush=True)
         await service.shutdown()

@@ -19,6 +19,11 @@ Every function is bit-identical to mapping its per-chunk counterpart
 over the rows (golden-tested), which is what lets the batched kernel
 keep the stream format and the paper's CPU/GPU compatibility story
 unchanged.
+
+:func:`compress_bytes_batch` and :func:`decompress_bytes_batch` are the
+stage's dispatch points: when the native kernels are loaded
+(:mod:`repro.core.native`) they run the C implementation, otherwise the
+NumPy formulation below.  Both produce the same bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import PFPLIntegrityError
+from ..native import kernels
 from ..scratch import scratch
 from .zerobyte import DEFAULT_LEVELS, bitmap_sizes
 
@@ -143,6 +149,9 @@ def compress_bytes_batch(data: np.ndarray, levels: int = DEFAULT_LEVELS) -> list
     chunk.
     """
     data = np.ascontiguousarray(data, dtype=np.uint8)
+    native = kernels()
+    if native is not None:
+        return native.zero_elim_rows(data, levels)
     n_chunks = data.shape[0]
     bitmap, payload, payload_counts = zero_eliminate_batch(data)
     kept_stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -183,6 +192,9 @@ def decompress_bytes_batch(
     :class:`~repro.errors.PFPLIntegrityError` before any output is used,
     matching the per-chunk decoder's guarantees.
     """
+    native = kernels()
+    if native is not None:
+        return native.zero_restore_rows(stream, starts, sizes, n, levels)
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     level_sizes = bitmap_sizes(n, levels)

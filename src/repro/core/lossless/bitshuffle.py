@@ -14,6 +14,10 @@ produce the same bytes.
 
 The word count must be a multiple of 8 so each bit-plane packs into
 whole bytes (the chunker pads the tail chunk to guarantee this).
+
+When the native kernels are loaded (:mod:`repro.core.native`) every
+function here runs the C transpose -- the per-chunk pair as one-row
+calls -- and the NumPy formulation below is the portable fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import PFPLIntegrityError, PFPLUsageError
+from ..native import kernels
 from ..scratch import scratch
 
 __all__ = ["bitshuffle", "bitunshuffle", "bitshuffle_batch", "bitunshuffle_batch"]
@@ -84,6 +89,11 @@ def bitshuffle(words: np.ndarray) -> np.ndarray:
     n = words.size
     if n == 0:
         return np.empty(0, dtype=np.uint8)
+    native = kernels()
+    if native is not None:
+        out = np.empty(words.nbytes, dtype=np.uint8)
+        native.bitshuffle_rows(words.reshape(1, n), out.reshape(1, -1))
+        return out
     # Big-endian byte view => unpackbits yields MSB-first bits per word.
     be = words.astype(words.dtype.newbyteorder(">"), copy=False)
     bits = np.unpackbits(be.view(np.uint8)).reshape(n, width)
@@ -111,6 +121,13 @@ def bitunshuffle(planes: np.ndarray, n_words: int, dtype) -> np.ndarray:
         raise PFPLIntegrityError(
             f"plane buffer holds {planes.size * 8} bits, expected {n_words * width}"
         )
+    if n_words % 8:
+        raise PFPLIntegrityError(f"plane buffer decodes to {n_words} words, not a multiple of 8")
+    native = kernels()
+    if native is not None:
+        words = np.empty(n_words, dtype=dt)
+        native.bitunshuffle_rows(planes.reshape(1, -1), words.reshape(1, -1))
+        return words
     bits = np.unpackbits(planes).reshape(width, n_words)
     packed = np.packbits(bits.T)
     return packed.view(dt.newbyteorder(">")).astype(dt)
@@ -136,6 +153,10 @@ def bitshuffle_batch(words: np.ndarray, out: np.ndarray | None = None) -> np.nda
             f"({n_chunks}, {n * s}), got {out.dtype}{out.shape}"
         )
     if n == 0:
+        return out
+    native = kernels()
+    if native is not None:
+        native.bitshuffle_rows(mat, out)
         return out
     out4 = out.reshape(n_chunks, s, 8, n // 8)
     # After delta+negabinary the residual words are small, so the top
@@ -187,6 +208,11 @@ def bitunshuffle_batch(planes: np.ndarray, dtype) -> np.ndarray:
         raise PFPLIntegrityError(
             f"plane rows decode to {n_words} words, not a multiple of 8"
         )
+    native = kernels()
+    if native is not None:
+        words = np.empty((n_chunks, n_words), dtype=dt)
+        native.bitunshuffle_rows(planes, words)
+        return words
     s = dt.itemsize
     # Exact inverse of bitshuffle_batch: ungroup sub-planes, transpose
     # the 8x8 bit blocks back (involution), re-interleave byte planes.

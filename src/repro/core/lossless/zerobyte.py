@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import PFPLIntegrityError
+from ..native import kernels
 
 __all__ = [
     "zero_eliminate",
@@ -115,8 +116,14 @@ def repeat_restore(bitmap: np.ndarray, kept: np.ndarray, n: int) -> np.ndarray:
 
 
 def compress_bytes(data: np.ndarray, levels: int = DEFAULT_LEVELS) -> bytes:
-    """Full stage-L3 encoder: zero-eliminate, then compress the bitmap."""
+    """Full stage-L3 encoder: zero-eliminate, then compress the bitmap.
+
+    Runs as a one-row call of the native kernel when it is loaded.
+    """
     data = np.ascontiguousarray(data, dtype=np.uint8)
+    native = kernels()
+    if native is not None:
+        return native.zero_elim_rows(data.reshape(1, -1), levels)[0]
     bitmap, payload = zero_eliminate(data)
     kept_stack = []
     for _ in range(levels):
@@ -130,13 +137,19 @@ def compress_bytes(data: np.ndarray, levels: int = DEFAULT_LEVELS) -> bytes:
 
 
 def decompress_bytes(blob, n: int, levels: int = DEFAULT_LEVELS) -> np.ndarray:
-    """Inverse of :func:`compress_bytes`, reproducing ``n`` bytes."""
+    """Inverse of :func:`compress_bytes`, reproducing ``n`` bytes.
+
+    Runs as a one-row call of the native kernel when it is loaded.
+    """
     if isinstance(blob, np.ndarray):
         buf = np.ascontiguousarray(blob, dtype=np.uint8)
     else:
         # bytes / bytearray / memoryview all expose the buffer protocol:
         # wrap in place, never duplicate the chunk.
         buf = np.frombuffer(blob, dtype=np.uint8)
+    native = kernels()
+    if native is not None:
+        return native.zero_restore_rows(buf, [0], [buf.size], n, levels)[0]
     sizes = bitmap_sizes(n, levels)
     pos = 0
 

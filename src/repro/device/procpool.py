@@ -61,6 +61,7 @@ import numpy as np
 from ..core.chunking import plan_shards
 from ..core.kernel import ChunkKernel, ChunkStats
 from ..core.lossless.pipeline import LosslessPipeline, PipelineConfig
+from ..core.native import kernels as load_native_kernels
 from ..core.quantizers import Quantizer
 from ..errors import PFPLIntegrityError, PFPLUsageError
 from ..telemetry import NULL_TELEMETRY, Telemetry, TraceContext
@@ -314,9 +315,14 @@ class ProcessPoolBackend(Backend):
     # -- pool / arena management --------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Create the persistent worker pool on first use (under lock)."""
+        """Create the persistent worker pool on first use (under lock).
+
+        The native kernels load first, so forked workers inherit the
+        library and never run the compiler themselves.
+        """
         pool = self._res["exec"]
         if pool is None:
+            load_native_kernels()
             ctx = get_context(self.mp_context)
             counter = ctx.Value("i", 0)
             pool = ProcessPoolExecutor(

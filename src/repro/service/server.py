@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.compressor import PFPLCompressor, decompress
+from ..core.native import status as native_status
 from ..device.backend import get_backend
 from ..errors import PFPLError, PFPLUsageError
 from ..telemetry import Telemetry, TraceContext
@@ -163,6 +164,8 @@ class PFPLService:
         )
         self._pending = 0
         self._draining = False
+        #: Native-kernel status, taken once in start() (which loads them).
+        self._kernels: dict | None = None
         self._server: asyncio.AbstractServer | None = None
         log = self.config.access_log
         self._access_fp = None
@@ -180,11 +183,15 @@ class PFPLService:
 
         The backend pool is warmed *first*: a process pool forked after
         connections exist would inherit their fds and keep them open
-        past the parent's close (clients would never see EOF).
+        past the parent's close (clients would never see EOF).  The
+        native kernels load before that, so no request and no forked
+        worker ever waits on a compile.
         """
         # Blocking by design: warming must finish before the socket
         # exists (see docstring), and no connections are open yet so
-        # there is nothing for the loop to starve.
+        # there is nothing for the loop to starve.  Loading the native
+        # kernels here keeps any first-use compile out of requests.
+        self._kernels = native_status()  # pfpl: allow[async-blocking]
         self.backend.warm()  # pfpl: allow[async-blocking]
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -453,6 +460,7 @@ class PFPLService:
                     "draining": self._draining,
                 },
                 "backend": self.backend.pool_info(),
+                "kernels": self._kernels,
             })
         return json_response({"error": "unknown debug endpoint"}, status=404)
 

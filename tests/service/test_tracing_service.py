@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from repro.core.native import status as native_status
 from repro.service import PFPLService, ServiceConfig
 from repro.telemetry import parse_prometheus
 
@@ -228,6 +229,7 @@ class TestTraceEdgeCases:
         assert len(doc["backend"]["worker_procs"]) == 2
         assert all(w["alive"] for w in doc["backend"]["worker_procs"])
         assert "scratch" in doc["backend"]
+        assert doc["kernels"] == native_status()
 
     def test_rejected_requests_logged_with_trace_id(self, tmp_path):
         """503 rejections still mint a context and write an access line."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.native import status as native_status
 
 
 @pytest.fixture
@@ -63,6 +64,8 @@ class TestInfo:
         assert "mode=noa" in out
         assert "value range" in out
         assert "delta+negabinary -> bitshuffle -> zero-elim" in out
+        kernels = "native (" if native_status()["active"] else "numpy ("
+        assert f"kernels     : {kernels}" in out
 
 
 class TestVerify:
@@ -148,6 +151,7 @@ class TestStatsAndTrace:
         out = capsys.readouterr().out
         assert "encode stages:" in out and "decode stages:" in out
         assert "zero-elim" in out and "outliers" in out
+        assert native_status()["reason"] in out.splitlines()[1]
 
     def test_stats_json(self, raw_file, capsys):
         import json
